@@ -112,6 +112,32 @@ func (c Config) Fingerprint() uint64 {
 	return fnvUint64(h, mix)
 }
 
+// FNV-1a 64-bit parameters (hash/fnv's), inlined so fingerprinting a
+// configuration does not allocate a hash.Hash64.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvUint64 absorbs v's little-endian bytes — the same byte sequence
+// binary.LittleEndian.PutUint64 + Write fed hash/fnv, so fingerprints are
+// unchanged across the inlining.
+func fnvUint64(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ (v & 0xff)) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+func fnvString(h uint64, s string) uint64 {
+	h = fnvUint64(h, uint64(len(s)))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
 // Validate checks capacity and per-tenant parameter sanity.
 func (c *Config) Validate() error {
 	if c.TotalContainers <= 0 {

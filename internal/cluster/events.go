@@ -282,74 +282,7 @@ func ReplaySchedule(capacity int, horizon time.Duration, events []Event) *Schedu
 	return s
 }
 
-// FNV-1a 64-bit parameters (hash/fnv's), inlined so fingerprinting a
-// schedule on the what-if hot path does not allocate a hash.Hash64.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// fnvUint64 absorbs v's little-endian bytes — the same byte sequence
-// binary.LittleEndian.PutUint64 + Write fed hash/fnv, so fingerprints are
-// unchanged across the inlining.
-func fnvUint64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
-
-func fnvString(h uint64, s string) uint64 {
-	h = fnvUint64(h, uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	return h
-}
-
-func fnvBool(h uint64, v bool) uint64 {
-	if v {
-		return fnvUint64(h, 1)
-	}
-	return fnvUint64(h, 0)
-}
-
-// Fingerprint returns a 64-bit FNV-1a digest of the schedule's full record
-// view (capacity, horizon, every job and task field). Schedules with equal
-// fingerprints are almost certainly identical; callers that must be exact
-// (the what-if evaluation cache) verify with Equal before trusting a match.
-func (s *Schedule) Fingerprint() uint64 {
-	h := uint64(fnvOffset64)
-	h = fnvUint64(h, uint64(s.Capacity))
-	h = fnvUint64(h, uint64(s.Horizon))
-	h = fnvUint64(h, uint64(len(s.Jobs)))
-	for i := range s.Jobs {
-		j := &s.Jobs[i]
-		h = fnvString(h, j.ID)
-		h = fnvString(h, j.Tenant)
-		h = fnvUint64(h, uint64(j.Submit))
-		h = fnvUint64(h, uint64(j.Finish))
-		h = fnvUint64(h, uint64(j.Deadline))
-		h = fnvBool(h, j.Completed)
-		h = fnvBool(h, j.Killed)
-	}
-	h = fnvUint64(h, uint64(len(s.Tasks)))
-	for i := range s.Tasks {
-		t := &s.Tasks[i]
-		h = fnvString(h, t.JobID)
-		h = fnvString(h, t.Tenant)
-		h = fnvUint64(h, uint64(t.Kind))
-		h = fnvUint64(h, uint64(t.Attempt))
-		h = fnvUint64(h, uint64(t.Start))
-		h = fnvUint64(h, uint64(t.End))
-		h = fnvUint64(h, uint64(t.Outcome))
-	}
-	return h
-}
-
-// Equal reports whether two schedules have identical record views. It is
-// the exact check behind Fingerprint matches.
+// Equal reports whether two schedules have identical record views.
 func (s *Schedule) Equal(o *Schedule) bool {
 	if s == nil || o == nil {
 		return s == o

@@ -112,8 +112,8 @@ func checkEventStream(t *testing.T, s *Schedule) {
 	if !reflect.DeepEqual(got, s) {
 		t.Fatalf("replayed schedule differs from original:\n got: %+v\nwant: %+v", got, s)
 	}
-	if !got.Equal(s) || got.Fingerprint() != s.Fingerprint() {
-		t.Fatal("replayed schedule not Equal / fingerprint mismatch")
+	if !got.Equal(s) {
+		t.Fatal("replayed schedule not Equal")
 	}
 }
 
@@ -149,39 +149,6 @@ func TestEventsEmptySchedule(t *testing.T) {
 		t.Fatalf("empty schedule produced %d events", len(got))
 	}
 	checkEventStream(t, s)
-}
-
-// TestFingerprintSensitivity spot-checks that every record field feeds the
-// digest: flipping any one field must change the fingerprint and break
-// Equal.
-func TestFingerprintSensitivity(t *testing.T) {
-	base := eventsSchedule(11, 8, 6)
-	fp := base.Fingerprint()
-	mutations := []func(*Schedule){
-		func(s *Schedule) { s.Capacity++ },
-		func(s *Schedule) { s.Horizon += time.Second },
-		func(s *Schedule) { s.Jobs[0].Submit += time.Nanosecond },
-		func(s *Schedule) { s.Jobs[0].Finish += time.Nanosecond },
-		func(s *Schedule) { s.Jobs[0].Deadline += time.Second },
-		func(s *Schedule) { s.Jobs[0].Completed = !s.Jobs[0].Completed },
-		func(s *Schedule) { s.Jobs[0].Killed = !s.Jobs[0].Killed },
-		func(s *Schedule) { s.Jobs[0].Tenant += "x" },
-		func(s *Schedule) { s.Tasks[0].Start += time.Nanosecond },
-		func(s *Schedule) { s.Tasks[0].End += time.Nanosecond },
-		func(s *Schedule) { s.Tasks[0].Outcome = TaskPreempted },
-		func(s *Schedule) { s.Tasks[0].Attempt++ },
-		func(s *Schedule) { s.Tasks = s.Tasks[:len(s.Tasks)-1] },
-	}
-	for i, mutate := range mutations {
-		m := ReplaySchedule(base.Capacity, base.Horizon, base.Events()) // deep copy
-		mutate(m)
-		if m.Fingerprint() == fp {
-			t.Errorf("mutation %d left fingerprint unchanged", i)
-		}
-		if m.Equal(base) {
-			t.Errorf("mutation %d left Equal true", i)
-		}
-	}
 }
 
 // FuzzScheduleEvents asserts, for arbitrary structurally valid schedules,

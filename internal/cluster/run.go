@@ -18,12 +18,13 @@ import (
 // simulator's — every piece of per-run state is reset by RunInto, and the
 // scenario golden suite locks this.
 type Sim struct {
-	s scheduler
+	s    scheduler
+	seen map[string]bool // trace validation's reused job-ID set
 }
 
 // NewSim returns an empty simulation arena.
 func NewSim() *Sim {
-	sm := &Sim{}
+	sm := &Sim{seen: map[string]bool{}}
 	sm.s.bind()
 	return sm
 }
@@ -40,7 +41,7 @@ func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedu
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := trace.Validate(); err != nil {
+	if err := trace.ValidateWith(sm.seen); err != nil {
 		return nil, err
 	}
 	s := &sm.s
@@ -54,8 +55,13 @@ func (sm *Sim) RunInto(trace *workload.Trace, cfg Config, opts Options) (*Schedu
 
 // Detach releases the last returned schedule from the arena: its record
 // arrays will not be recycled, so it stays valid indefinitely. The next
-// RunInto allocates fresh backing.
+// RunInto allocates fresh backing once, sized to the detached schedule
+// plus an eighth, instead of regrowing it by doubling. The hint follows
+// the latest run, so a pooled Sim that once ran a large trace does not
+// hand oversized arrays to every later caller.
 func (sm *Sim) Detach() {
+	n, j := len(sm.s.tasksBuf), len(sm.s.jobsBuf)
+	sm.s.tasksHint, sm.s.jobsHint = n+n/8, j+j/8
 	sm.s.tasksBuf = nil
 	sm.s.jobsBuf = nil
 }

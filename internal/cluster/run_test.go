@@ -94,3 +94,89 @@ func TestSimDetach(t *testing.T) {
 		t.Fatal("detached schedule was mutated by a later run on the same arena")
 	}
 }
+
+// allocTrace is a noisy, preemption-enabled two-tenant run: task failures,
+// job kills, min-share and share-level preemption all fire, so the
+// allocation test below covers every scheduler path.
+func allocTrace(tb testing.TB) (*workload.Trace, Config, Options) {
+	tb.Helper()
+	tr, err := workload.Generate(
+		[]workload.TenantProfile{
+			workload.DeadlineDriven("etl", 1.2),
+			workload.BestEffort("adhoc", 1.5),
+		},
+		workload.GenerateOptions{Horizon: 2 * time.Hour, Seed: 11},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	noise := DefaultNoise(5)
+	noise.JobKillProb = 0.1
+	cfg := Config{
+		TotalContainers: 16,
+		Tenants: map[string]TenantConfig{
+			"etl":   {Weight: 3, MinShare: 6, MinSharePreemptTimeout: time.Minute, SharePreemptTimeout: 2 * time.Minute},
+			"adhoc": {Weight: 1, SharePreemptTimeout: 3 * time.Minute},
+		},
+	}
+	return tr, cfg, Options{Horizon: 2 * time.Hour, Noise: noise}
+}
+
+// TestSimRunAllocs locks the arena's steady state: once warmed up, a
+// reused Sim runs a full noisy simulation with a small constant number of
+// heap allocations (the Schedule header and the tenant sort), however
+// many events, attempts and preemptions the run has.
+func TestSimRunAllocs(t *testing.T) {
+	tr, cfg, opts := allocTrace(t)
+	sm := NewSim()
+	sched, err := sm.RunInto(tr, cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := 0
+	for _, j := range sched.Jobs {
+		if j.Killed {
+			killed++
+		}
+	}
+	if sched.PreemptionCount("", nil) == 0 || killed == 0 {
+		t.Fatalf("trace does not exercise preemption and kills: %v, %d killed", sched, killed)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := sm.RunInto(tr, cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("reused Sim allocated %v times per run, want <= 4", allocs)
+	}
+	// Detaching hands the record arrays to the caller; the next run sizes
+	// fresh ones from the detached schedule once instead of regrowing
+	// them by doubling, so a run-and-detach cycle adds just those two.
+	allocs = testing.AllocsPerRun(20, func() {
+		if _, err := sm.RunInto(tr, cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		sm.Detach()
+	})
+	if allocs > 6 {
+		t.Fatalf("run-and-detach cycle allocated %v times, want <= 6", allocs)
+	}
+}
+
+// BenchmarkSimRun measures the Schedule Predictor kernel alone on the
+// trace of TestSimRunAllocs, through a reused arena.
+func BenchmarkSimRun(b *testing.B) {
+	tr, cfg, opts := allocTrace(b)
+	sm := NewSim()
+	if _, err := sm.RunInto(tr, cfg, opts); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sm.RunInto(tr, cfg, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

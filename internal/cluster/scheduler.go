@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"tempo/internal/arena"
@@ -44,13 +45,12 @@ type task struct {
 
 // runningTask is a task attempt currently occupying a container.
 type runningTask struct {
-	t         *task
-	tenant    *tenantState
-	start     time.Duration
-	finishEv  *sim.Event
-	recIdx    int
-	launchSeq uint64
-	done      bool
+	t        *task
+	tenant   *tenantState
+	start    time.Duration
+	finishEv *sim.Event
+	recIdx   int
+	done     bool
 	// plannedOutcome is how the attempt will end if it runs to its finish
 	// event: TaskFinished, or TaskFailed when the noise model injected a
 	// failure at launch. Preemption and kills override it via release.
@@ -66,7 +66,6 @@ type jobRun struct {
 	finished  bool
 	killed    bool
 	killEv    *sim.Event
-	running   []*runningTask
 }
 
 // taskDeque is the tenant's pending-task FIFO with O(1) front pushes for
@@ -108,11 +107,11 @@ func (d *taskDeque) popFront() *task {
 	return t
 }
 
-// filter keeps only tasks satisfying keep, preserving order.
-func (d *taskDeque) filter(keep func(*task) bool) {
+// dropJob removes the job's tasks, preserving the order of the rest.
+func (d *taskDeque) dropJob(jr *jobRun) {
 	kept := d.buf[:d.head]
 	for _, t := range d.buf[d.head:] {
-		if keep(t) {
+		if t.job != jr {
 			kept = append(kept, t)
 		}
 	}
@@ -127,9 +126,9 @@ type tenantState struct {
 
 	pending taskDeque // FIFO; preempted tasks are pushed to the front
 	running int
-	ranked  []*runningTask // launch order, lazily compacted
 
 	fairShare float64 // instantaneous weighted fair share
+	quota     int     // killVictims scratch: attempts still preemptible
 
 	starvedMinSince   time.Duration
 	starvedShareSince time.Duration
@@ -185,13 +184,22 @@ type scheduler struct {
 	tenants    map[string]*tenantState
 	tenantList []*tenantState // sorted by name for determinism
 
-	schedule  *Schedule
-	launchSeq uint64
-	allRun    []*runningTask // live attempts for horizon truncation
+	schedule *Schedule
+	// allRun holds every attempt of the run in launch order; kills and
+	// preemptions scan it backwards for live attempts, and truncate
+	// finalizes the ones still running at the horizon.
+	allRun []*runningTask
 
-	// Reused hot-loop buffers.
-	fair    []ws           // computeFairShares scratch
-	victims []*runningTask // killVictims scratch
+	// sharesDirty is set whenever a tenant's demand (running + pending)
+	// may have changed; computeFairShares is a pure function of the
+	// demands, so it skips recomputation while the flag is clear.
+	sharesDirty bool
+
+	fair []ws // reused computeFairShares scratch
+	// pendingBufs hands the tenants' pending-queue backing arrays from
+	// one run to the next: the tenant-state arena zeroes its objects, so
+	// without it every run would regrow every queue from nil.
+	pendingBufs [][]*task
 
 	// Arenas for per-run bookkeeping objects.
 	jobRuns arena.Arena[jobRun]
@@ -202,9 +210,12 @@ type scheduler struct {
 	bools   arena.SliceArena[bool]
 
 	// Backing arrays for the produced Schedule, reused across runs unless
-	// the caller detaches the schedule (see Sim.Detach).
-	tasksBuf []TaskRecord
-	jobsBuf  []JobRecord
+	// the caller detaches the schedule (see Sim.Detach); the hints size the
+	// fresh arrays a run after a detach allocates.
+	tasksBuf  []TaskRecord
+	jobsBuf   []JobRecord
+	tasksHint int
+	jobsHint  int
 
 	// Shared event handlers (sim.Engine.AtArg): bound once per scheduler,
 	// so scheduling an event does not allocate a closure.
@@ -247,6 +258,10 @@ func (s *scheduler) bind() {
 // arrays are recycled rather than re-allocated.
 func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 	s.engine.Reset()
+	for _, ts := range s.tenantList {
+		clear(ts.pending.buf)
+		s.pendingBufs = append(s.pendingBufs, ts.pending.buf[:0])
+	}
 	s.cfg = cfg
 	s.capacity = cfg.TotalContainers
 	s.free = cfg.TotalContainers
@@ -257,16 +272,21 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 		clear(s.tenants)
 	}
 	s.tenantList = s.tenantList[:0]
-	s.launchSeq = 0
 	s.allRun = s.allRun[:0]
+	s.sharesDirty = true
 	s.fair = s.fair[:0]
-	s.victims = s.victims[:0]
 	s.jobRuns.Reset()
 	s.tasks.Reset()
 	s.runs.Reset()
 	s.tstates.Reset()
 	s.ints.Reset()
 	s.bools.Reset()
+	if s.tasksBuf == nil {
+		s.tasksBuf = make([]TaskRecord, 0, s.tasksHint)
+	}
+	if s.jobsBuf == nil {
+		s.jobsBuf = make([]JobRecord, 0, s.jobsHint)
+	}
 	s.schedule = &Schedule{
 		Capacity: cfg.TotalContainers,
 		Tasks:    s.tasksBuf[:0],
@@ -290,12 +310,16 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 			ts.cfg = cfg.Tenant(name)
 			ts.starvedMinSince = -1
 			ts.starvedShareSince = -1
+			if n := len(s.pendingBufs); n > 0 {
+				ts.pending.buf = s.pendingBufs[n-1]
+				s.pendingBufs = s.pendingBufs[:n-1]
+			}
 			s.tenants[name] = ts
 			s.tenantList = append(s.tenantList, ts)
 		}
 	}
-	sort.Slice(s.tenantList, func(i, j int) bool {
-		return s.tenantList[i].name < s.tenantList[j].name
+	slices.SortFunc(s.tenantList, func(a, b *tenantState) int {
+		return strings.Compare(a.name, b.name)
 	})
 	for i := range trace.Jobs {
 		s.engine.AtArg(trace.Jobs[i].Submit, prioSubmit, s.fnSubmit, &trace.Jobs[i])
@@ -304,7 +328,8 @@ func (s *scheduler) init(trace *workload.Trace, cfg Config, opts Options) {
 
 // run drives the event loop to completion (or the horizon). Together
 // with the handlers below it is the what-if inner loop's simulation
-// kernel, alloc-gated by BENCH_5.json.
+// kernel: a reused scheduler runs it without allocating (see
+// TestSimRunAllocs).
 //
 //tempo:hot
 func (s *scheduler) run() *Schedule {
@@ -354,6 +379,7 @@ func (s *scheduler) submit(now time.Duration, spec *workload.JobSpec) {
 // unlockStage enqueues a stage's tasks at the tail of the tenant queue.
 func (s *scheduler) unlockStage(ts *tenantState, jr *jobRun, stage int) {
 	jr.unlocked[stage] = true
+	s.sharesDirty = true
 	specs := jr.spec.Stages[stage].Tasks
 	for i := range specs {
 		t := s.tasks.Get()
@@ -439,12 +465,10 @@ func (s *scheduler) launch(now time.Duration, ts *tenantState) {
 	rt.tenant = ts
 	rt.start = now
 	rt.recIdx = len(s.schedule.Tasks)
-	rt.launchSeq = s.launchSeq
 	rt.plannedOutcome = TaskFinished
 	if fail {
 		rt.plannedOutcome = TaskFailed
 	}
-	s.launchSeq++
 	s.schedule.Tasks = append(s.schedule.Tasks, TaskRecord{
 		JobID:   t.job.spec.ID,
 		Tenant:  ts.name,
@@ -455,8 +479,6 @@ func (s *scheduler) launch(now time.Duration, ts *tenantState) {
 	})
 	s.free--
 	ts.running++
-	ts.ranked = append(ts.ranked, rt)
-	t.job.running = append(t.job.running, rt)
 	s.allRun = append(s.allRun, rt)
 	rt.finishEv = s.engine.AtArg(now+dur, prioFinish, s.fnFinish, rt)
 }
@@ -469,6 +491,7 @@ func (s *scheduler) popPending(ts *tenantState) *task {
 		if !t.job.killed {
 			return t
 		}
+		s.sharesDirty = true
 	}
 	return nil
 }
@@ -505,6 +528,7 @@ func (s *scheduler) release(now time.Duration, rt *runningTask, outcome TaskOutc
 	rec.Outcome = outcome
 	rt.tenant.running--
 	s.free++
+	s.sharesDirty = true
 }
 
 // stageComplete unlocks dependent stages and finishes the job when all
@@ -548,13 +572,13 @@ func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
 	}
 	jr.killed = true
 	// Remove the job's pending tasks from the tenant queue.
-	ts.pending.filter(func(t *task) bool { return t.job != jr })
-	for _, rt := range jr.running {
-		if !rt.done {
+	ts.pending.dropJob(jr)
+	s.sharesDirty = true
+	for i := len(s.allRun) - 1; i >= 0; i-- {
+		if rt := s.allRun[i]; !rt.done && rt.t.job == jr {
 			s.release(now, rt, TaskKilled)
 		}
 	}
-	jr.running = nil
 	rec := &s.schedule.Jobs[jr.recIdx]
 	rec.Finish = now
 	rec.Killed = true
@@ -563,9 +587,14 @@ func (s *scheduler) killJob(now time.Duration, ts *tenantState, jr *jobRun) {
 
 // computeFairShares runs weighted water-filling with floors (min shares),
 // ceilings (max shares), and demand caps, storing each tenant's
-// instantaneous fair share. It runs on every assignment, so its working
-// set is a reused value-slice buffer rather than per-call allocations.
+// instantaneous fair share. It is called on every assignment but only
+// recomputes when sharesDirty says a demand changed, and its working set
+// is a reused value-slice buffer rather than per-call allocations.
 func (s *scheduler) computeFairShares() {
+	if !s.sharesDirty {
+		return
+	}
+	s.sharesDirty = false
 	active := s.fair[:0]
 	var floorSum float64
 	for _, ts := range s.tenantList {
@@ -574,8 +603,16 @@ func (s *scheduler) computeFairShares() {
 		if d == 0 {
 			continue
 		}
-		capacity := math.Min(float64(ts.effMax(s.capacity)), float64(d))
-		floor := math.Min(float64(ts.minTarget(s.capacity)), capacity)
+		// Both operands are non-negative integers, where a plain
+		// comparison is exactly math.Min.
+		capacity := float64(ts.effMax(s.capacity))
+		if fd := float64(d); fd < capacity {
+			capacity = fd
+		}
+		floor := float64(ts.minTarget(s.capacity))
+		if capacity < floor {
+			floor = capacity
+		}
 		active = append(active, ws{ts: ts, cap: capacity, floor: floor})
 		floorSum += floor
 	}
@@ -717,37 +754,29 @@ func (s *scheduler) preemptCheck(now time.Duration, ts *tenantState, minLevel bo
 }
 
 // killVictims preempts up to need containers from tenants running above
-// their fair share, most recently launched attempts first.
+// their fair share, most recently launched attempts first, taking at most
+// `over` from each tenant so no victim is pushed below its own fair share.
 func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need int) {
-	victims := s.victims[:0]
+	found := false
 	for _, ts := range s.tenantList {
-		if ts == starved {
-			continue
+		ts.quota = 0
+		if over := float64(ts.running) - ts.fairShare; ts != starved && over >= 1 {
+			ts.quota = int(over)
+			found = true
 		}
-		over := float64(ts.running) - ts.fairShare
-		if over < 1 {
-			continue
-		}
-		// Candidates: newest first, at most `over` from this tenant so we
-		// never push a victim below its own fair share.
-		allowed := int(over)
-		taken := 0
-		for i := len(ts.ranked) - 1; i >= 0 && taken < allowed; i-- {
-			rt := ts.ranked[i]
-			if rt.done {
-				continue
-			}
-			victims = append(victims, rt)
-			taken++
-		}
-		ts.compactRanked()
 	}
-	s.victims = victims // keep the grown backing for the next call
-	sort.Slice(victims, func(i, j int) bool { return victims[i].launchSeq > victims[j].launchSeq })
-	for _, rt := range victims {
-		if need <= 0 {
-			break
+	if !found {
+		return
+	}
+	// allRun is in launch order, so walking it backwards visits live
+	// attempts newest first across all tenants. Preempting one only marks
+	// it done, which leaves the rest of the walk unchanged.
+	for i := len(s.allRun) - 1; i >= 0 && need > 0; i-- {
+		rt := s.allRun[i]
+		if rt.done || rt.tenant.quota == 0 {
+			continue
 		}
+		rt.tenant.quota--
 		s.preempt(now, rt)
 		need--
 	}
@@ -759,17 +788,6 @@ func (s *scheduler) killVictims(now time.Duration, starved *tenantState, need in
 func (s *scheduler) preempt(now time.Duration, rt *runningTask) {
 	s.release(now, rt, TaskPreempted)
 	rt.tenant.pending.pushFront(rt.t)
-}
-
-// compactRanked drops completed attempts from the launch-order list.
-func (t *tenantState) compactRanked() {
-	kept := t.ranked[:0]
-	for _, rt := range t.ranked {
-		if !rt.done {
-			kept = append(kept, rt)
-		}
-	}
-	t.ranked = kept
 }
 
 // truncate finalizes attempts still running at the horizon.

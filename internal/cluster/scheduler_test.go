@@ -273,6 +273,77 @@ func TestSharePreemptionLevel(t *testing.T) {
 	}
 }
 
+// TestVictimSelectionInterleaved pins which attempts a kill and a
+// share-level preemption take when two tenants' attempts are interleaved
+// in launch order: the kill takes exactly the killed job's attempts, and
+// the preemption takes the newest attempts of the over-share tenant only,
+// skipping the starved tenant's newer attempts.
+func TestVictimSelectionInterleaved(t *testing.T) {
+	long := 1000 * time.Second
+	tr := mkTrace(
+		job("a1", "A", 0, 2, long),              // attempts 0, 1
+		job("b1", "B", 1*time.Second, 1, long),  // attempt 2
+		job("a2", "A", 2*time.Second, 2, long),  // attempts 3, 4: killed at 10s
+		job("b2", "B", 3*time.Second, 1, long),  // attempt 5
+		job("a3", "A", 4*time.Second, 2, long),  // attempts 6, 7
+		job("a4", "A", 11*time.Second, 1, long), // attempt 8
+		job("b3", "B", 12*time.Second, 1, long), // attempt 9
+		// B's demand reaches 5 of 8 containers at weight 3:1, so A (5
+		// running, fair share 3) is over by 2 and B is starved until the
+		// share-level check at 23s preempts A's two newest attempts (8, 7).
+		job("b4", "B", 13*time.Second, 2, long), // attempts 10, 11 after the preemption
+	)
+	cfg := cfg2(8,
+		TenantConfig{Weight: 1},
+		TenantConfig{Weight: 3, SharePreemptTimeout: 10 * time.Second})
+	sm := NewSim()
+	s := &sm.s
+	s.init(tr, cfg, Options{Horizon: 100 * time.Second})
+	s.engine.RunUntil(10 * time.Second)
+	var a2 *jobRun
+	for _, rt := range s.allRun {
+		if rt.t.job.spec.ID == "a2" {
+			a2 = rt.t.job
+		}
+	}
+	if a2 == nil {
+		t.Fatal("job a2 never launched")
+	}
+	s.killJob(10*time.Second, s.tenants["A"], a2)
+	sched := s.run()
+
+	type rec struct {
+		job     string
+		outcome TaskOutcome
+		end     time.Duration
+	}
+	horizon := 100 * time.Second
+	want := []rec{
+		{"a1", TaskTruncated, horizon},
+		{"a1", TaskTruncated, horizon},
+		{"b1", TaskTruncated, horizon},
+		{"a2", TaskKilled, 10 * time.Second},
+		{"a2", TaskKilled, 10 * time.Second},
+		{"b2", TaskTruncated, horizon},
+		{"a3", TaskTruncated, horizon},
+		{"a3", TaskPreempted, 23 * time.Second},
+		{"a4", TaskPreempted, 23 * time.Second},
+		{"b3", TaskTruncated, horizon},
+		{"b4", TaskTruncated, horizon},
+		{"b4", TaskTruncated, horizon},
+	}
+	if len(sched.Tasks) != len(want) {
+		t.Fatalf("got %d attempts, want %d: %+v", len(sched.Tasks), len(want), sched.Tasks)
+	}
+	for i, w := range want {
+		got := sched.Tasks[i]
+		if got.JobID != w.job || got.Outcome != w.outcome || got.End != w.end {
+			t.Errorf("attempt %d = {%s %v end %v}, want {%s %v end %v}",
+				i, got.JobID, got.Outcome, got.End, w.job, w.outcome, w.end)
+		}
+	}
+}
+
 func TestPreemptedWorkIsLostAndRestarted(t *testing.T) {
 	a := job("a", "A", 0, 1, time.Hour)
 	b := job("b", "B", time.Second, 1, time.Minute)

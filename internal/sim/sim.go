@@ -14,7 +14,6 @@
 package sim
 
 import (
-	"container/heap"
 	"time"
 
 	"tempo/internal/arena"
@@ -101,7 +100,7 @@ func (e *Engine) At(t time.Duration, priority int, fn func(now time.Duration)) *
 	ev := e.events.Get()
 	ev.Time, ev.Priority, ev.Fire, ev.seq = t, priority, fn, e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -117,7 +116,7 @@ func (e *Engine) AtArg(t time.Duration, priority int, fn func(now time.Duration,
 	ev := e.events.Get()
 	ev.Time, ev.Priority, ev.fireArg, ev.arg, ev.seq = t, priority, fn, arg, e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 	return ev
 }
 
@@ -130,8 +129,8 @@ func (e *Engine) After(d time.Duration, priority int, fn func(now time.Duration)
 // Now, like At) and clears its canceled mark, so a canceled-but-unpopped
 // event can be revived in place. The event is assigned a fresh sequence
 // number, making the result indistinguishable from Cancel followed by a new
-// At — but in O(log n) via heap.Fix and without allocating or leaving a
-// dead entry in the queue. It reports whether the event was still pending;
+// At — but in O(log n) via an in-place sift and without allocating or
+// leaving a dead entry in the queue. It reports whether the event was still pending;
 // an event that already fired or was discarded cannot be rescheduled.
 func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
 	if ev == nil || ev.index < 0 || ev.index >= len(e.queue) || e.queue[ev.index] != ev {
@@ -144,7 +143,7 @@ func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
 	ev.canceled = false
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.queue, ev.index)
+	e.queue.fix(ev.index)
 	return true
 }
 
@@ -152,7 +151,7 @@ func (e *Engine) Reschedule(ev *Event, t time.Duration) bool {
 // reports whether an event was dispatched.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -199,18 +198,21 @@ func (e *Engine) peek() *Event {
 		if !ev.canceled {
 			return ev
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 	}
 	return nil
 }
 
-// eventQueue is a min-heap ordered by (Time, Priority, seq).
+// eventQueue is a binary min-heap ordered by (Time, Priority, seq),
+// written against *Event directly instead of container/heap: the
+// interface's dynamic Less/Swap calls and the any-boxed Push/Pop were the
+// predictor's largest single cost. Every entry's index field tracks its
+// slot, so Reschedule can re-sift it in place; popped events get index -1.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	a, b := q[i], q[j]
+// less is the heap order. seq is unique per engine run, so the order is
+// total and the dispatch sequence does not depend on the heap's shape.
+func less(a, b *Event) bool {
 	if a.Time != b.Time {
 		return a.Time < b.Time
 	}
@@ -220,24 +222,73 @@ func (q eventQueue) Less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
+func (q *eventQueue) push(ev *Event) {
 	ev.index = len(*q)
 	*q = append(*q, ev)
+	q.up(ev.index)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1 // no longer in the heap: rejects late Reschedule calls
-	*q = old[:n-1]
-	return ev
+// pop removes and returns the minimum event. The queue must be non-empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[0].index = 0
+	h[n] = nil
+	*q = h[:n]
+	if n > 1 {
+		q.down(0)
+	}
+	top.index = -1 // no longer in the heap: rejects late Reschedule calls
+	return top
+}
+
+// fix restores the heap order after the entry at i changed its key.
+func (q eventQueue) fix(i int) {
+	if !q.down(i) {
+		q.up(i)
+	}
+}
+
+func (q eventQueue) up(i int) {
+	ev := q[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		p := q[parent]
+		if !less(ev, p) {
+			break
+		}
+		q[i] = p
+		p.index = i
+		i = parent
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down sifts the entry at i toward the leaves and reports whether it moved.
+func (q eventQueue) down(i0 int) bool {
+	n := len(q)
+	i := i0
+	ev := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && less(q[r], q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !less(child, ev) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
+	return i > i0
 }

@@ -369,6 +369,195 @@ func TestPropertyRescheduleFiresOnceAtFinalTime(t *testing.T) {
 	}
 }
 
+// refEvent is the reference model's view of one scheduled event.
+type refEvent struct {
+	t        time.Duration
+	prio     int
+	seq      uint64
+	canceled bool
+	queued   bool
+}
+
+// refEngine is a deliberately naive model of Engine: every dispatch scans
+// all queued events for the (Time, Priority, seq) minimum. Canceled events
+// leave the queue exactly when the engine would discard them — when they
+// reach the front during Step or RunUntil — so Reschedule's "still pending"
+// answer is modeled too.
+type refEngine struct {
+	evs   []refEvent
+	now   time.Duration
+	seq   uint64
+	order []int
+	spawn func(r *refEngine, id int)
+}
+
+func (r *refEngine) at(t time.Duration, prio int) int {
+	if t < r.now {
+		t = r.now
+	}
+	r.evs = append(r.evs, refEvent{t: t, prio: prio, seq: r.seq, queued: true})
+	r.seq++
+	return len(r.evs) - 1
+}
+
+func (r *refEngine) reschedule(id int, t time.Duration) bool {
+	ev := &r.evs[id]
+	if !ev.queued {
+		return false
+	}
+	if t < r.now {
+		t = r.now
+	}
+	ev.t, ev.canceled, ev.seq = t, false, r.seq
+	r.seq++
+	return true
+}
+
+// front returns the queued minimum, or -1.
+func (r *refEngine) front() int {
+	best := -1
+	for i := range r.evs {
+		e := &r.evs[i]
+		if !e.queued {
+			continue
+		}
+		if best < 0 {
+			best = i
+			continue
+		}
+		b := &r.evs[best]
+		if e.t < b.t || (e.t == b.t && (e.prio < b.prio || (e.prio == b.prio && e.seq < b.seq))) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (r *refEngine) dispatch(id int) {
+	r.evs[id].queued = false
+	r.now = r.evs[id].t
+	r.order = append(r.order, id)
+	r.spawn(r, id)
+}
+
+func (r *refEngine) step() bool {
+	for {
+		id := r.front()
+		if id < 0 {
+			return false
+		}
+		if r.evs[id].canceled {
+			r.evs[id].queued = false
+			continue
+		}
+		r.dispatch(id)
+		return true
+	}
+}
+
+func (r *refEngine) runUntil(h time.Duration) {
+	for {
+		id := r.front()
+		if id < 0 {
+			break
+		}
+		if r.evs[id].canceled {
+			r.evs[id].queued = false
+			continue
+		}
+		if r.evs[id].t > h {
+			break
+		}
+		r.dispatch(id)
+	}
+	if r.now < h {
+		r.now = h
+	}
+}
+
+// Property: under a random mix of At, AtArg, Cancel, Reschedule, Step and
+// RunUntil — with handlers that schedule further events mid-run — the
+// engine's full dispatch sequence, its clock, and every Reschedule verdict
+// match a reference that sorts the live events by (Time, Priority, seq).
+func TestPropertyDispatchOrderMatchesReference(t *testing.T) {
+	// spawnChild decides, from the dispatched event's id alone, whether its
+	// handler schedules a follow-up event, so both sides make the same call.
+	spawnChild := func(id int) (bool, time.Duration, int) {
+		return id%4 == 1, time.Duration(id % 5), id % 3
+	}
+	f := func(seed int64, n uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var e Engine
+		var events []*Event
+		var order []int
+		ids := make([]int, 0, 1024)
+		var handler func(now time.Duration, arg any)
+		handler = func(now time.Duration, arg any) {
+			id := *arg.(*int)
+			order = append(order, id)
+			if ok, d, p := spawnChild(id); ok && len(events) < cap(ids) {
+				ids = append(ids, len(events))
+				events = append(events, e.AtArg(now+d, p, handler, &ids[len(ids)-1]))
+			}
+		}
+		ref := &refEngine{spawn: func(r *refEngine, id int) {
+			if ok, d, p := spawnChild(id); ok && len(r.evs) < cap(ids) {
+				r.at(r.now+d, p)
+			}
+		}}
+		ops := int(n%96) + 8
+		for op := 0; op < ops; op++ {
+			switch k := rng.Intn(6); {
+			case k <= 1 || len(events) == 0:
+				tm, p := time.Duration(rng.Intn(40)), rng.Intn(3)
+				id := len(events)
+				if k == 0 {
+					events = append(events, e.At(tm, p, func(now time.Duration) { handler(now, &id) }))
+				} else {
+					ids = append(ids, id)
+					events = append(events, e.AtArg(tm, p, handler, &ids[len(ids)-1]))
+				}
+				ref.at(tm, p)
+			case k == 2:
+				i := rng.Intn(len(events))
+				events[i].Cancel()
+				ref.evs[i].canceled = true
+			case k == 3:
+				i := rng.Intn(len(events))
+				tm := time.Duration(rng.Intn(40))
+				if e.Reschedule(events[i], tm) != ref.reschedule(i, tm) {
+					return false
+				}
+			case k == 4:
+				if e.Step() != ref.step() {
+					return false
+				}
+			default:
+				h := e.Now() + time.Duration(rng.Intn(10))
+				e.RunUntil(h)
+				ref.runUntil(h)
+			}
+			if e.Now() != ref.now || len(events) != len(ref.evs) {
+				return false
+			}
+		}
+		e.Run()
+		ref.runUntil(1 << 62)
+		if len(order) != len(ref.order) {
+			return false
+		}
+		for i := range order {
+			if order[i] != ref.order[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var e Engine

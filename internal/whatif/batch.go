@@ -55,68 +55,6 @@ func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
 	return out, nil
 }
 
-// evalCache shares QS vectors across the candidates of one batch. Small
-// configuration deltas frequently leave the predicted schedule unchanged
-// (a weight tweak beyond the contention point, a max-share above demand),
-// in which case re-deriving the QS vector from an identical event stream
-// is pure waste. Entries are keyed by (sample, schedule fingerprint) and
-// verified with an exact record comparison before reuse, so a fingerprint
-// collision can never corrupt a result; and since verified-equal schedules
-// yield bit-identical QS vectors, reuse cannot perturb determinism no
-// matter which worker populated the entry first.
-type evalCache struct {
-	mu      sync.Mutex
-	entries map[int][]evalCacheEntry
-}
-
-// maxCacheEntriesPerSample bounds retained schedules: each entry pins a
-// full predicted schedule (jobs + tasks) for the batch's lifetime, and a
-// batch whose candidates all predict distinct schedules gains nothing
-// from caching them. PALD batches score a handful of candidates, so the
-// bound is never hit in the control loop; it only caps memory for huge
-// hand-built batches.
-const maxCacheEntriesPerSample = 32
-
-type evalCacheEntry struct {
-	fp    uint64
-	sched *cluster.Schedule
-	vals  []float64
-}
-
-func newEvalCache() *evalCache {
-	return &evalCache{entries: map[int][]evalCacheEntry{}}
-}
-
-// lookup returns a previously computed QS vector for an identical
-// (sample, schedule) pair, or nil. The O(records) exact comparison runs
-// outside the lock — entries are append-only and immutable once stored,
-// so only the slice snapshot needs the mutex, and workers comparing large
-// schedules do not serialize each other.
-func (c *evalCache) lookup(sample int, sched *cluster.Schedule, fp uint64) []float64 {
-	c.mu.Lock()
-	candidates := c.entries[sample]
-	c.mu.Unlock()
-	for _, e := range candidates {
-		if e.fp == fp && e.sched.Equal(sched) {
-			return e.vals
-		}
-	}
-	return nil
-}
-
-// store retains the (schedule, vector) pair for the batch's lifetime and
-// reports whether it did; a false return means the schedule is not pinned
-// and its storage may be recycled.
-func (c *evalCache) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.entries[sample]) >= maxCacheEntriesPerSample {
-		return false
-	}
-	c.entries[sample] = append(c.entries[sample], evalCacheEntry{fp: fp, sched: sched, vals: vals})
-	return true
-}
-
 // Scratch is one worker's reusable evaluation state: a simulation arena
 // for the built-in Schedule Predictor and a QS scratch for deriving the
 // vector. Workers draw one from scratchPool per batch, so steady-state
@@ -162,7 +100,6 @@ func (m *Model) evalPairs(cfgs []cluster.Config, samples int) ([][]float64, erro
 	total := len(cfgs) * samples
 	vecs := make([][]float64, total)
 	errs := make([]error, total)
-	cache := newEvalCache()
 	workers := m.Parallelism
 	if workers > total {
 		workers = total
@@ -178,7 +115,7 @@ func (m *Model) evalPairs(cfgs []cluster.Config, samples int) ([][]float64, erro
 			sc = scratchPool.Get().(*Scratch)
 		}
 		for idx := 0; idx < total; idx++ {
-			vecs[idx], errs[idx] = m.evalSample(predict, cache, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+			vecs[idx], errs[idx] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
 			if errs[idx] != nil {
 				break
 			}
@@ -191,7 +128,7 @@ func (m *Model) evalPairs(cfgs []cluster.Config, samples int) ([][]float64, erro
 		// independent of goroutine timing, and failures are cheap (config
 		// validation rejects them before any simulation work).
 		runIndexedScratch(workers, total, pooled, func(idx int, sc *Scratch) {
-			vecs[idx], errs[idx] = m.evalSample(predict, cache, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+			vecs[idx], errs[idx] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
 		})
 	}
 	for idx, err := range errs {
@@ -295,20 +232,19 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // evalSample scores cfg on one workload sample: it predicts the task
 // schedule, then derives the full QS vector incrementally — the schedule's
 // event stream is built once and shared by every template
-// (qs.EvalStream), instead of one record scan per template. Candidates
-// whose predicted schedule is identical to one already scored for the
-// same sample reuse its vector through the cache — the per-batch
-// evalCache from EvaluateBatch, or the cross-tick searchState from
-// EvaluateSearch.
+// (qs.EvalStream), instead of one record scan per template.
 //
 // With a non-nil scratch (built-in predictor only) the prediction runs in
 // the scratch's simulation arena and the QS derivation reuses its
-// buffers: the predicted schedule borrows arena storage and is recycled
-// by the worker's next pair, unless the cache pins it — then it is
-// detached and owns its records for the batch's lifetime.
+// buffers: the predicted schedule borrows arena storage, is read only
+// here, and is recycled by the worker's next pair. Nothing is cached per
+// schedule: deriving the QS vector is a small fraction of a prediction,
+// far less than fingerprinting the schedule to look it up would cost.
+// Cross-tick reuse happens one level up, in EvaluateSearch's config tier,
+// which skips the prediction too.
 //
 //tempo:hot
-func (m *Model) evalSample(predict Predictor, cache pairCache, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
+func (m *Model) evalSample(predict Predictor, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
 	var sched *cluster.Schedule
 	var err error
 	if sc != nil {
@@ -324,18 +260,8 @@ func (m *Model) evalSample(predict Predictor, cache pairCache, sc *Scratch, trac
 		//tempolint:ignore allocdiscipline cold error exit, never on the scored pair path
 		return nil, fmt.Errorf("predicting sample %d: predictor returned a nil schedule", sample)
 	}
-	fp := sched.Fingerprint()
-	if vals := cache.lookup(sample, sched, fp); vals != nil {
-		return vals, nil
-	}
-	var vals []float64
 	if sc != nil {
-		vals = qs.EvalStreamScratch(&sc.qs, m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
-	} else {
-		vals = qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond)
+		return qs.EvalStreamScratch(&sc.qs, m.Templates, sched, 0, sched.Horizon+time.Nanosecond), nil
 	}
-	if cache.store(sample, sched, fp, vals) && sc != nil {
-		sc.sim.Detach()
-	}
-	return vals, nil
+	return qs.EvalStream(m.Templates, sched, 0, sched.Horizon+time.Nanosecond), nil
 }

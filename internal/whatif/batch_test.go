@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tempo/internal/cluster"
+	"tempo/internal/qs"
 	"tempo/internal/workload"
 )
 
@@ -292,5 +293,54 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvaluateBatchIdenticalCandidatesMatchOracle runs a batch where
+// several candidates provably produce the same predicted schedule (the
+// predictor ignores config differences beyond the contention point) and
+// asserts every row equals the oracle value.
+func TestEvaluateBatchIdenticalCandidatesMatchOracle(t *testing.T) {
+	profiles := []workload.TenantProfile{workload.BestEffort("a", 1)}
+	trace, err := workload.Generate(profiles, workload.GenerateOptions{Horizon: time.Hour, Seed: 5, Name: "cache"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	templates := []qs.Template{
+		{Queue: "a", Metric: qs.AvgResponseTime},
+		{Metric: qs.Utilization},
+	}
+	model, err := FromTrace(templates, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model.Horizon = time.Hour
+	model.Parallelism = 4
+	base := cluster.Config{TotalContainers: 32, Tenants: map[string]cluster.TenantConfig{"a": {Weight: 1}}}
+	// With a single tenant, weight changes cannot alter the schedule: every
+	// candidate predicts identical records.
+	cfgs := []cluster.Config{base}
+	for _, w := range []float64{2, 3, 5} {
+		c := base.Clone()
+		tc := c.Tenants["a"]
+		tc.Weight = w
+		c.Tenants["a"] = tc
+		cfgs = append(cfgs, c)
+	}
+	rows, err := model.EvaluateBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := cluster.Run(trace, base, cluster.Options{Horizon: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := qs.EvalAll(templates, sched, 0, sched.Horizon+time.Nanosecond)
+	for r := range rows {
+		for i := range want {
+			if rows[r][i] != want[i] {
+				t.Fatalf("row %d objective %d: got %v, want oracle %v", r, i, rows[r][i], want[i])
+			}
+		}
 	}
 }

@@ -17,27 +17,25 @@ import (
 // identical across ticks (replay shares one trace pointer; the profile
 // generator redraws bit-identical traces from the same per-sample seed).
 // EvaluateBatch deliberately forgets all of that between calls; the
-// search state here retains it, in two exact-verified tiers per sample:
+// search state here retains it in a per-sample config tier keyed by
+// configuration fingerprint and verified with cluster.Config.Equal. The
+// built-in predictor is a pure function of (trace, configuration,
+// horizon), so an identical configuration scored against an identical
+// trace reuses the whole QS vector with no simulation at all — this is
+// what makes warm-starting the incumbent free.
 //
-//   - a config tier keyed by configuration fingerprint (verified with
-//     cluster.Config.Equal): the built-in predictor is a pure function of
-//     (trace, configuration, horizon), so an identical configuration
-//     scored against an identical trace reuses the whole QS vector with
-//     no simulation at all — this is what makes warm-starting the
-//     incumbent free;
-//   - a schedule tier keyed by schedule fingerprint (verified with
-//     cluster.Schedule.Equal), the cross-tick extension of the per-batch
-//     evalCache: distinct configurations that predict identical schedules
-//     share the QS derivation, now across ticks too.
-//
-// Both tiers reuse values only after an exact equality check, so reuse is
-// bit-identical to recomputation and cannot perturb determinism — the
-// same argument the per-batch evalCache already makes, extended in time.
-// Stale state is impossible by construction: every call re-reconciles
-// each sample's trace identity (pointer fast path, content comparison
+// The tier reuses values only after an exact equality check, so reuse is
+// bit-identical to recomputation and cannot perturb determinism. Stale
+// state is impossible by construction: every call re-reconciles each
+// sample's trace identity (pointer fast path, content comparison
 // otherwise) and drops that sample's entries when the trace changed, and
 // an epoch guard drops everything when the model's shape (template count,
 // horizon, sample count) changes.
+//
+// There is deliberately no tier keyed by predicted schedule: distinct
+// configurations that predict the same schedule could share the QS
+// derivation, but fingerprinting every schedule costs more than the
+// derivation it would save.
 //
 // EvaluateSearch optionally prunes candidates through qs.BoundSet lower
 // bounds before simulating them — see the method comment for the
@@ -47,13 +45,6 @@ import (
 // candidate churn around the incumbent; the tier is FIFO, so a
 // wandering optimizer evicts its oldest points first.
 const maxSearchConfigPerSample = 64
-
-// pairCache is what evalSample needs from a cache: the per-batch
-// evalCache and the cross-tick searchState both implement it.
-type pairCache interface {
-	lookup(sample int, sched *cluster.Schedule, fp uint64) []float64
-	store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) bool
-}
 
 // cfgCacheEntry is one config-tier record: the exact configuration (a
 // clone, so later caller mutations cannot corrupt the key) and its
@@ -68,14 +59,13 @@ type cfgCacheEntry struct {
 type searchSample struct {
 	trace  *workload.Trace
 	bounds *qs.BoundSet
-	sched  []evalCacheEntry
 	cfgs   []cfgCacheEntry
 }
 
-// searchState is the cross-tick memory behind EvaluateSearch. The mutex
-// guards slice headers only; entries are immutable once appended, and
-// eviction advances the slice base instead of shifting elements in
-// place, so a reader's unlocked snapshot is never written through.
+// searchState is the cross-tick memory behind EvaluateSearch, which
+// touches it only from the calling goroutine, never from the scoring
+// workers. The mutex guards the slices; entries are immutable once
+// appended.
 type searchState struct {
 	mu        sync.Mutex
 	templates int
@@ -109,37 +99,6 @@ func (st *searchState) reconcile(templates int, horizon time.Duration, traces []
 		}
 		*cur = searchSample{trace: tr}
 	}
-}
-
-// lookup is the schedule tier's read side (pairCache). Same unlocked
-// exact-comparison idiom as evalCache.lookup: the mutex covers only the
-// slice snapshot.
-func (st *searchState) lookup(sample int, sched *cluster.Schedule, fp uint64) []float64 {
-	st.mu.Lock()
-	entries := st.samples[sample].sched
-	st.mu.Unlock()
-	for _, e := range entries {
-		if e.fp == fp && e.sched.Equal(sched) {
-			return e.vals
-		}
-	}
-	return nil
-}
-
-// store is the schedule tier's write side (pairCache). Unlike the
-// per-batch cache it never refuses: at capacity the oldest entry is
-// evicted by advancing the slice base (append-only from any concurrent
-// reader's perspective), so the pin protocol stays "stored means
-// detached".
-func (st *searchState) store(sample int, sched *cluster.Schedule, fp uint64, vals []float64) bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sm := &st.samples[sample]
-	if len(sm.sched) >= maxCacheEntriesPerSample {
-		sm.sched = sm.sched[1:]
-	}
-	sm.sched = append(sm.sched, evalCacheEntry{fp: fp, sched: sched, vals: vals})
-	return true
 }
 
 // lookupConfig returns the cached per-sample QS vector for an exactly
@@ -232,9 +191,7 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 
 	// The config tier (and the bounds that lean on predictor purity) only
 	// apply to the built-in predictor; a custom Predict is an opaque
-	// function we must call per (config, sample) pair. The schedule tier
-	// stays on either way: equal schedules have equal QS vectors no matter
-	// who predicted them.
+	// function we must call per (config, sample) pair.
 	cacheable := m.Predict == nil
 	fps := make([]uint64, len(cfgs))
 	if cacheable {
@@ -332,7 +289,6 @@ func (m *Model) runSearchPairs(traces []*workload.Trace, cfgs []cluster.Config, 
 	if predict == nil {
 		predict = DefaultPredictor
 	}
-	st := m.search
 	errs := make([]error, len(pending))
 	pooled := m.Predict == nil
 	workers := m.Parallelism
@@ -345,7 +301,7 @@ func (m *Model) runSearchPairs(traces []*workload.Trace, cfgs []cluster.Config, 
 			sc = scratchPool.Get().(*Scratch)
 		}
 		for pi, idx := range pending {
-			vals[idx], errs[pi] = m.evalSample(predict, st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+			vals[idx], errs[pi] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
 			if errs[pi] != nil {
 				break
 			}
@@ -356,7 +312,7 @@ func (m *Model) runSearchPairs(traces []*workload.Trace, cfgs []cluster.Config, 
 	} else {
 		runIndexedScratch(workers, len(pending), pooled, func(pi int, sc *Scratch) {
 			idx := pending[pi]
-			vals[idx], errs[pi] = m.evalSample(predict, st, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+			vals[idx], errs[pi] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
 		})
 	}
 	for pi, err := range errs {

@@ -82,18 +82,22 @@ func (j *JobSpec) TotalWork() time.Duration {
 
 // CriticalPath returns a lower bound on the job's completion time given
 // unlimited containers: the longest dependency chain of per-stage maximum
-// task durations.
+// task durations. Stages must be topologically ordered, as Validate
+// requires; a dependency on a later stage is ignored. Jobs of up to 16
+// stages are measured without allocating, which keeps the noisy
+// emulator's kill path allocation-free.
 func (j *JobSpec) CriticalPath() time.Duration {
-	memo := make([]time.Duration, len(j.Stages))
-	var longest func(i int) time.Duration
-	longest = func(i int) time.Duration {
-		if memo[i] != 0 {
-			return memo[i]
-		}
+	var buf [16]time.Duration
+	finish := buf[:0]
+	if len(j.Stages) > len(buf) {
+		finish = make([]time.Duration, 0, len(j.Stages))
+	}
+	var cp time.Duration
+	for i := range j.Stages {
 		var dep time.Duration
 		for _, d := range j.Stages[i].DependsOn {
-			if v := longest(d); v > dep {
-				dep = v
+			if d >= 0 && d < i && finish[d] > dep {
+				dep = finish[d]
 			}
 		}
 		var maxTask time.Duration
@@ -102,13 +106,9 @@ func (j *JobSpec) CriticalPath() time.Duration {
 				maxTask = t.Duration
 			}
 		}
-		memo[i] = dep + maxTask
-		return memo[i]
-	}
-	var cp time.Duration
-	for i := range j.Stages {
-		if v := longest(i); v > cp {
-			cp = v
+		finish = append(finish, dep+maxTask)
+		if finish[i] > cp {
+			cp = finish[i]
 		}
 	}
 	return cp
@@ -235,7 +235,14 @@ func (j *JobSpec) Equal(o *JobSpec) bool {
 
 // Validate checks every job and that submissions fall within the horizon.
 func (t *Trace) Validate() error {
-	seen := make(map[string]bool, len(t.Jobs))
+	return t.ValidateWith(make(map[string]bool, len(t.Jobs)))
+}
+
+// ValidateWith is Validate with a caller-owned set for the duplicate-ID
+// check. The set is cleared first, so a caller that validates trace after
+// trace (a reused simulator) keeps one map and stops allocating.
+func (t *Trace) ValidateWith(seen map[string]bool) error {
+	clear(seen)
 	for i := range t.Jobs {
 		j := &t.Jobs[i]
 		if err := j.Validate(); err != nil {
