@@ -31,15 +31,6 @@ import (
 // gate is computed over the steady-state ticks after it.
 const decisionTicks = 3
 
-// batchOnlyWhatIf hides EvaluateSearch so the controller's SearchModel
-// assertion fails and scoring falls back to the exhaustive batch path.
-type batchOnlyWhatIf struct{ m *whatif.Model }
-
-func (b *batchOnlyWhatIf) Evaluate(cfg cluster.Config) ([]float64, error) { return b.m.Evaluate(cfg) }
-func (b *batchOnlyWhatIf) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	return b.m.EvaluateBatch(cfgs)
-}
-
 // stressController builds a controller over the committed stress-1000
 // tenant mix (1000 tenants, capacity 400) with a prune-eligible
 // RandomSearch strategy and two candidates per tick — the stress-scale
@@ -59,9 +50,10 @@ func stressController(b *testing.B, exhaustive bool) *core.Controller {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var coreModel core.Model = model
 	if exhaustive {
-		coreModel = &batchOnlyWhatIf{m: model}
+		// An opaque predictor is never cached or pruned: every candidate
+		// is scored fresh each tick.
+		model.Predict = whatif.DefaultPredictor
 	}
 	space := cluster.DefaultSpace(spec.Capacity, spec.TenantNames())
 	rs, err := pald.NewRandomSearch(space.Dim(), 0.2, spec.Seed+7)
@@ -71,7 +63,7 @@ func stressController(b *testing.B, exhaustive bool) *core.Controller {
 	ctl, err := core.NewController(core.Config{
 		Space:       space,
 		Templates:   rt.Templates,
-		Model:       coreModel,
+		Model:       model,
 		Environment: &core.TraceEnvironment{Trace: rt.Trace, Seed: spec.Seed},
 		Interval:    rt.Interval,
 		Candidates:  2,
@@ -110,15 +102,14 @@ func floodedController(b *testing.B, exhaustive bool) *core.Controller {
 		b.Fatal(err)
 	}
 	model.Horizon = interval
-	var coreModel core.Model = model
 	if exhaustive {
-		coreModel = &batchOnlyWhatIf{m: model}
+		model.Predict = whatif.DefaultPredictor
 	}
 	space := cluster.DefaultSpace(capacity, []string{"batch"})
 	ctl, err := core.NewController(core.Config{
 		Space:       space,
 		Templates:   templates,
-		Model:       coreModel,
+		Model:       model,
 		Environment: &core.ReplayEnvironment{Trace: trace},
 		Interval:    interval,
 		Candidates:  3,

@@ -542,7 +542,7 @@ func measureAllocs(reps int, fn func()) (allocsPerOp, bytesPerOp float64) {
 // under ~4000 templates, the shape the paper's handful-of-tenants protocol
 // never reaches. It fails outright if the incremental path is not faster —
 // the CI regression gate for this PR's tentpole — and records the speedup
-// for BENCH_3.json. The two paths' QS vectors must be bit-identical on the
+// for BENCH_5.json. The two paths' QS vectors must be bit-identical on the
 // full window.
 func BenchmarkQSIncremental(b *testing.B) {
 	sched, templates, err := stressEvalFixture()

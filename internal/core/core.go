@@ -16,56 +16,9 @@ import (
 	"tempo/internal/linalg"
 	"tempo/internal/pald"
 	"tempo/internal/qs"
+	"tempo/internal/whatif"
 	"tempo/internal/workload"
 )
-
-// Model is the what-if interface the control loop drives: predict the QS
-// vector a candidate RM configuration would attain. *whatif.Model is the
-// canonical implementation.
-type Model interface {
-	Evaluate(cfg cluster.Config) ([]float64, error)
-}
-
-// BatchModel is implemented by models that can score many candidate
-// configurations in one call — *whatif.Model fans the batch out over a
-// worker pool. The controller routes all candidate scoring through it when
-// available; plain Model implementations fall back to sequential calls.
-type BatchModel interface {
-	Model
-	EvaluateBatch(cfgs []cluster.Config) ([][]float64, error)
-}
-
-// SearchModel is implemented by models that support the controller's
-// incremental decision search: cross-tick reuse of candidate scores plus
-// optional bound-based pruning through the keep callback, with fresh[i] /
-// reused[i] reporting how much simulation work candidate i actually cost.
-// *whatif.Model implements it; the controller routes candidate scoring
-// through it when available and falls back to BatchModel/Model otherwise.
-// The contract mirrors whatif.(*Model).EvaluateSearch: cfgs[0] is the
-// incumbent, preds[i] == nil marks a pruned candidate, and every non-nil
-// prediction is bit-identical to an exhaustive EvaluateBatch row.
-type SearchModel interface {
-	Model
-	EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, base []float64) bool) (preds [][]float64, fresh, reused []int, err error)
-}
-
-// scoreBatch scores every configuration through the model, using the batch
-// API when the model supports it and a sequential adapter otherwise. Row i
-// corresponds to cfgs[i] in both paths.
-func scoreBatch(m Model, cfgs []cluster.Config) ([][]float64, error) {
-	if bm, ok := m.(BatchModel); ok {
-		return bm.EvaluateBatch(cfgs)
-	}
-	out := make([][]float64, len(cfgs))
-	for i := range cfgs {
-		v, err := m.Evaluate(cfgs[i])
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
 
 // Environment is the live system under management: given an RM
 // configuration, run one control interval and return the observed task
@@ -183,10 +136,11 @@ type Config struct {
 	Space *cluster.Space
 	// Templates are the registered SLOs; their order fixes the QS vector.
 	Templates []qs.Template
-	// Model predicts QS vectors for candidate configurations, typically a
-	// *whatif.Model. Implementations that also satisfy BatchModel score the
-	// per-iteration candidate set in one (possibly parallel) batch call.
-	Model Model
+	// Model predicts QS vectors for candidate configurations. The
+	// controller scores each iteration's candidate set through its
+	// incremental search (EvaluateSearch). A custom simulator plugs in
+	// through the model's Predict field (§7.2).
+	Model *whatif.Model
 	// Strategy proposes candidates; nil builds a default PALD optimizer.
 	Strategy pald.Strategy
 	// Environment is the system under management.
@@ -216,7 +170,7 @@ type Config struct {
 // from the cross-tick cache, how many the QS bounds pruned before any
 // simulation, and the per-sample simulation counts behind those. The
 // serving layer aggregates these into the scored/pruned-candidates
-// counters and the decision-latency quantiles on /metrics.
+// counters and the decision-latency quantiles on /v1/metrics.
 type SearchStats struct {
 	// Candidates is the size of the scored set: the incumbent plus every
 	// proposal.
@@ -411,8 +365,8 @@ func (c *Controller) Step() (Iteration, error) {
 	}
 
 	// Propose candidates, then score the current configuration and every
-	// candidate in one what-if batch: the evaluations are independent, so a
-	// batch-aware model fans them out across its worker pool.
+	// candidate in one what-if search: the evaluations are independent, so
+	// the model fans them out across its worker pool.
 	var searchStart time.Time
 	if c.cfg.Now != nil {
 		searchStart = c.cfg.Now()
@@ -479,9 +433,8 @@ func (c *Controller) Step() (Iteration, error) {
 }
 
 // scoreCandidates resolves the QS prediction for every configuration
-// (configs[0] is the incumbent), routing through the model's incremental
-// search when it offers one and the plain batch path otherwise, and
-// returns per-iteration search statistics alongside.
+// (configs[0] is the incumbent) through the model's incremental search
+// and returns per-iteration search statistics alongside.
 //
 // Pruning is enabled only when the strategy consumes no prediction
 // feedback (does not implement pald.PredictionObserver): for such
@@ -511,17 +464,6 @@ func (c *Controller) Step() (Iteration, error) {
 // bit-identical to exhaustive scoring (exact-verified cache reuse).
 func (c *Controller) scoreCandidates(configs []cluster.Config, normTargets []pald.Target, feedback bool) ([][]float64, *SearchStats, error) {
 	stats := &SearchStats{Candidates: len(configs)}
-	sm, ok := c.cfg.Model.(SearchModel)
-	if !ok {
-		preds, err := scoreBatch(c.cfg.Model, configs)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Per-sample simulation counts are not observable through the
-		// plain batch path; only the candidate-level tally is meaningful.
-		stats.FullyScored = len(configs)
-		return preds, stats, nil
-	}
 	var keep func(i int, lower, base []float64) bool
 	if !feedback {
 		slack := float64(len(configs)+1) * 1e-12
@@ -531,7 +473,7 @@ func (c *Controller) scoreCandidates(configs []cluster.Config, normTargets []pal
 			return bound <= incumbent+slack
 		}
 	}
-	preds, fresh, reused, err := sm.EvaluateSearch(configs, keep)
+	preds, fresh, reused, err := c.cfg.Model.EvaluateSearch(configs, keep)
 	if err != nil {
 		return nil, nil, err
 	}

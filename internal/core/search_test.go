@@ -46,16 +46,6 @@ func TestImprovementTable(t *testing.T) {
 	}
 }
 
-// batchOnlyModel hides EvaluateSearch from the controller so scoring
-// falls back to the exhaustive batch path — the reference the
-// incremental search is checked against.
-type batchOnlyModel struct{ m *whatif.Model }
-
-func (b *batchOnlyModel) Evaluate(cfg cluster.Config) ([]float64, error) { return b.m.Evaluate(cfg) }
-func (b *batchOnlyModel) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	return b.m.EvaluateBatch(cfgs)
-}
-
 // stripSearch clears the cache-temperature diagnostics so trajectories
 // can be compared structurally.
 func stripSearch(hist []Iteration) []Iteration {
@@ -80,7 +70,9 @@ func TestIncrementalSearchMatchesExhaustive(t *testing.T) {
 		}
 		cfg.Strategy = rs
 		if exhaustive {
-			cfg.Model = &batchOnlyModel{m: cfg.Model.(*whatif.Model)}
+			// An opaque predictor is never cached or pruned: exhaustive
+			// scoring, the reference the incremental search must match.
+			cfg.Model.Predict = whatif.DefaultPredictor
 		}
 		c, err := NewController(cfg, initial)
 		if err != nil {
@@ -196,7 +188,7 @@ func TestPruningFiresAndPreservesDecisions(t *testing.T) {
 		cfg, initial := floodedSetup(t)
 		cfg.Strategy = &cornerStrategy{dim: cfg.Space.Dim()}
 		if exhaustive {
-			cfg.Model = &batchOnlyModel{m: cfg.Model.(*whatif.Model)}
+			cfg.Model.Predict = whatif.DefaultPredictor
 		}
 		c, err := NewController(cfg, initial)
 		if err != nil {

@@ -42,12 +42,13 @@ type Options struct {
 	// reports are bit-identical either way. The serving layer passes
 	// time.Now.
 	Clock func() time.Time
-	// ExhaustiveSearch hides the what-if model's incremental search from
-	// the controller, forcing the plain exhaustive batch path — no
-	// warm-starting, no pruning. Pruning is provably ranking-safe, so
-	// reports are bit-identical with or without it; the parity regression
-	// suite runs every committed scenario both ways to keep that proof
-	// honest.
+	// ExhaustiveSearch scores every candidate fresh each tick — no
+	// warm-starting, no pruning — by giving the controller's what-if
+	// model an explicit Predict (whatif.DefaultPredictor), which the
+	// incremental search never caches or prunes. Pruning is provably
+	// ranking-safe, so reports are bit-identical with or without it; the
+	// parity regression suite runs every committed scenario both ways to
+	// keep that proof honest.
 	ExhaustiveSearch bool
 }
 
@@ -160,14 +161,13 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 	default:
 		return nil, fmt.Errorf("scenario %s: unknown revert policy %q", spec.Name, spec.Controller.Revert)
 	}
-	var coreModel core.Model = model
 	if opts.ExhaustiveSearch {
-		coreModel = &exhaustiveModel{m: model}
+		model.Predict = whatif.DefaultPredictor
 	}
 	ctl, err := core.NewController(core.Config{
 		Space:       cluster.DefaultSpace(spec.Capacity, spec.TenantNames()),
 		Templates:   templates,
-		Model:       coreModel,
+		Model:       model,
 		Environment: env,
 		Interval:    interval,
 		Candidates:  spec.Controller.Candidates,
@@ -181,22 +181,6 @@ func Build(spec *Spec, opts Options) (*Runtime, error) {
 	}
 	rt.Controller = ctl
 	return rt, nil
-}
-
-// exhaustiveModel exposes only the plain evaluation surface of a
-// *whatif.Model, hiding EvaluateSearch so the controller's type assertion
-// for core.SearchModel fails and candidate scoring falls back to the
-// exhaustive batch path. It exists for Options.ExhaustiveSearch.
-type exhaustiveModel struct {
-	m *whatif.Model
-}
-
-func (e *exhaustiveModel) Evaluate(cfg cluster.Config) ([]float64, error) {
-	return e.m.Evaluate(cfg)
-}
-
-func (e *exhaustiveModel) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
-	return e.m.EvaluateBatch(cfgs)
 }
 
 // NewWhatIfModel builds a What-if Model wired exactly the way the

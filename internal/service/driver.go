@@ -396,8 +396,14 @@ type apiClient struct {
 }
 
 func newAPIClient(opts DriveOptions) *apiClient {
+	// Keep one idle connection per worker: the default transport keeps 2
+	// per host, so 32 workers against one server would keep dialing new
+	// TCP connections and leave the old ones in TIME_WAIT.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = max(tr.MaxIdleConns, opts.Workers)
+	tr.MaxIdleConnsPerHost = opts.Workers
 	return &apiClient{
-		c:       &http.Client{Timeout: opts.RequestTimeout},
+		c:       &http.Client{Timeout: opts.RequestTimeout, Transport: tr},
 		retries: opts.Retries,
 		base:    opts.RetryBase,
 		max:     opts.RetryMax,

@@ -31,42 +31,28 @@ import (
 //	GET    /v1/readyz                       readiness (503 during startup recovery and Close drain)
 //	GET    /v1/metrics                      JSON counters (ticks, queries, per-shard latency quantiles)
 //
-// The pre-versioning unprefixed paths keep working as deprecated aliases
-// for one release (responses carry a Deprecation header); the query
-// endpoints are /v1-only. All bodies are JSON — POSTs with a body must
-// say so in Content-Type or get a 415. Errors are a uniform envelope
-// {"error": "...", "code": "..."} with conventional status codes (400
-// malformed input, 404 unknown cluster, 409 conflicts, 415 wrong media
+// Only the /v1 paths are served. All bodies are JSON — POSTs with a
+// body must say so in Content-Type or get a 415, and a body over 1 MiB
+// gets a 413. Errors are a uniform envelope {"error": "...", "code":
+// "..."} with conventional status codes (400 malformed input, 404
+// unknown cluster, 409 conflicts, 413 body too large, 415 wrong media
 // type, 429 subscription limit, 503 shutting down); code is a stable
 // machine-readable discriminator, error the human-readable detail.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// route registers a handler under /v1 and its deprecated unversioned
-	// alias. New endpoints register with v1Only instead of growing the
-	// legacy surface.
-	route := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "version=\"v1\"")
-			h(w, r)
-		})
-	}
-	v1Only := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+path, h)
-	}
-	route("POST", "/clusters", s.handleCreate)
-	route("GET", "/clusters", s.handleList)
-	route("GET", "/clusters/{id}", s.handleStatus)
-	route("DELETE", "/clusters/{id}", s.handleDelete)
-	route("POST", "/clusters/{id}/tick", s.handleTick)
-	route("GET", "/clusters/{id}/qs", s.handleQS)
-	route("POST", "/clusters/{id}/whatif", s.handleWhatIf)
-	route("GET", "/clusters/{id}/report", s.handleReport)
-	route("GET", "/healthz", s.handleHealthz)
-	route("GET", "/metrics", s.handleMetrics)
-	v1Only("GET", "/readyz", s.handleReadyz)
-	v1Only("POST", "/clusters/{id}/query", s.handleQuery)
-	v1Only("GET", "/clusters/{id}/query/stream", s.handleQueryStream)
+	mux.HandleFunc("POST /v1/clusters", s.handleCreate)
+	mux.HandleFunc("GET /v1/clusters", s.handleList)
+	mux.HandleFunc("GET /v1/clusters/{id}", s.handleStatus)
+	mux.HandleFunc("DELETE /v1/clusters/{id}", s.handleDelete)
+	mux.HandleFunc("POST /v1/clusters/{id}/tick", s.handleTick)
+	mux.HandleFunc("GET /v1/clusters/{id}/qs", s.handleQS)
+	mux.HandleFunc("POST /v1/clusters/{id}/whatif", s.handleWhatIf)
+	mux.HandleFunc("GET /v1/clusters/{id}/report", s.handleReport)
+	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
+	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
+	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
+	mux.HandleFunc("POST /v1/clusters/{id}/query", s.handleQuery)
+	mux.HandleFunc("GET /v1/clusters/{id}/query/stream", s.handleQueryStream)
 	if s.cfg.Chaos != nil {
 		return s.chaosHandler(mux)
 	}
@@ -82,7 +68,7 @@ func (s *Service) Handler() http.Handler {
 func (s *Service) chaosHandler(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/v1/healthz", "/healthz", "/v1/readyz", "/v1/metrics", "/metrics":
+		case "/v1/healthz", "/v1/readyz", "/v1/metrics":
 		default:
 			if s.cfg.Chaos.ShedRequest() {
 				s.shedRequests.add(1)
@@ -118,7 +104,7 @@ func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch r.URL.Path {
-	case "/v1/healthz", "/healthz":
+	case "/v1/healthz":
 		writeJSON(w, http.StatusOK, map[string]any{"status": "starting"})
 	case "/v1/readyz":
 		w.Header().Set("Retry-After", "1")
@@ -141,6 +127,7 @@ const (
 	CodeConflict         = "conflict"
 	CodeUnavailable      = "unavailable"
 	CodeUnsupportedMedia = "unsupported_media_type"
+	CodeBodyTooLarge     = "body_too_large"
 	CodeStreamLimit      = "subscription_limit"
 	CodeInternal         = "internal"
 	// CodeOverloaded marks a request shed at admission (queue full past
@@ -239,8 +226,7 @@ func (s *Service) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CreateRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Spec) == 0 {
@@ -452,8 +438,7 @@ func (s *Service) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	var req WhatIfRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	c, err := s.Get(id)
@@ -539,16 +524,30 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// decodeBody parses a JSON request body, rejecting unknown fields and
-// trailing garbage so client typos fail loudly.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps a JSON request body. The largest committed scenario
+// spec is about 2 KB, so 1 MiB leaves ample room while keeping a client
+// from streaming an unbounded body into the decoder.
+const maxBodyBytes = 1 << 20
+
+// decodeBody parses a JSON request body of at most maxBodyBytes,
+// rejecting unknown fields and trailing garbage so client typos fail
+// loudly. On failure it answers 413 (oversize) or 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		} else {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("decoding request body: %w", err))
+		}
+		return false
 	}
 	if dec.More() {
-		return errors.New("trailing data after request body")
+		writeError(w, http.StatusBadRequest, CodeBadRequest, errors.New("trailing data after request body"))
+		return false
 	}
-	return nil
+	return true
 }

@@ -2,7 +2,7 @@ package service
 
 import "time"
 
-// Metrics is the service-wide counter snapshot GET /metrics serves.
+// Metrics is the service-wide counter snapshot GET /v1/metrics serves.
 type Metrics struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Clusters      int     `json:"clusters"`

@@ -24,33 +24,21 @@ func DefaultParallelism() int { return runtime.GOMAXPROCS(0) }
 // returned vectors are bit-identical to sequential evaluation. Row i of
 // the result corresponds to cfgs[i].
 //
-// This is the Optimizer's hot path: one control-loop iteration scores the
-// current configuration plus every PALD candidate in a single batch.
+// EvaluateBatch is stateless: unlike EvaluateSearch it neither reads nor
+// fills the cross-tick config tier, so one-off what-if probes pay no
+// fingerprinting or config cloning.
 func (m *Model) EvaluateBatch(cfgs []cluster.Config) ([][]float64, error) {
 	out := make([][]float64, len(cfgs))
 	if len(cfgs) == 0 {
 		return out, nil
 	}
-	samples := m.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	vecs, err := m.evalPairs(cfgs, samples)
+	samples := m.sampleCount()
+	vals, err := m.scoreAll(cfgs, samples)
 	if err != nil {
 		return nil, err
 	}
 	for c := range cfgs {
-		acc := make([]float64, len(m.Templates))
-		for s := 0; s < samples; s++ {
-			v := vecs[c*samples+s]
-			for i := range acc {
-				acc[i] += v[i]
-			}
-		}
-		for i := range acc {
-			acc[i] /= float64(samples)
-		}
-		out[c] = acc
+		out[c] = averageSamples(vals, c, samples, len(m.Templates))
 	}
 	return out, nil
 }
@@ -67,81 +55,105 @@ type Scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &Scratch{sim: cluster.NewSim()} }}
 
-// evalPairs scores every (configuration, sample) pair and returns the QS
-// vectors indexed by cfg*samples + sample. Errors are aggregated
-// deterministically, in two tiers: generation errors first (lowest sample
-// wins, attributed to config 0), then prediction errors (the pair with the
-// lowest flat index wins). Both tiers are independent of worker timing.
+// sampleCount is the number of workload samples each configuration is
+// averaged over: the model's Samples, at least 1.
+func (m *Model) sampleCount() int {
+	return max(m.Samples, 1)
+}
+
+// scoreAll draws the sample traces and scores every (configuration,
+// sample) pair, returning the QS vectors indexed by cfg*samples + sample.
+func (m *Model) scoreAll(cfgs []cluster.Config, samples int) ([][]float64, error) {
+	traces, err := m.genSamples(samples, len(cfgs))
+	if err != nil {
+		return nil, err
+	}
+	vals := make([][]float64, len(cfgs)*samples)
+	pending := make([]int, len(vals))
+	for i := range pending {
+		pending[i] = i
+	}
+	if err := m.runPairs(traces, cfgs, samples, pending, vals); err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// runPairs is the one place (configuration, sample) pairs reach the
+// predictor. It scores each pending flat index (cfg*samples + sample)
+// against the shared sample traces and writes the QS vector into vals.
 //
-// The S sample traces are generated exactly once, up front, and shared
-// (read-only) by all C candidates. Every candidate scores the same sample
-// trace by construction, so regenerating it per (cfg, sample) pair — C×S
-// generations instead of S — was pure waste; in windowed mode each
-// generation is a full synthetic workload draw.
+// With Parallelism > 1 the pairs fan out over a work-stealing pool, and
+// every pair runs even if one fails — that keeps the winning error
+// independent of goroutine timing, and failures are cheap (config
+// validation rejects them before any simulation work). The winning error
+// is the lowest pending position's, the one sequential evaluation stops
+// at, so the result is identical for every worker count.
 //
 //tempo:hot
-func (m *Model) evalPairs(cfgs []cluster.Config, samples int) ([][]float64, error) {
-	predict := m.Predict
-	if predict == nil {
-		predict = DefaultPredictor
+func (m *Model) runPairs(traces []*workload.Trace, cfgs []cluster.Config, samples int, pending []int, vals [][]float64) error {
+	if len(pending) == 0 {
+		return nil
 	}
-	traces, err := m.genSamples(samples, workersFor(m.Parallelism, samples))
-	if err != nil {
-		// A generation failure hits every candidate at that sample, so the
-		// winning (lowest-sample) error is deterministically attributed to
-		// config 0 and reported before any prediction error.
-		if len(cfgs) > 1 {
-			//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-			return nil, fmt.Errorf("whatif: config 0: %w", err)
-		}
-		//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-		return nil, fmt.Errorf("whatif: %w", err)
-	}
-	total := len(cfgs) * samples
-	vecs := make([][]float64, total)
-	errs := make([]error, total)
-	workers := m.Parallelism
-	if workers > total {
-		workers = total
-	}
-	// Workers with a nil custom predictor run the built-in predictor
-	// through a per-worker Scratch: the simulation arena and QS buffers are
-	// recycled across that worker's pairs and returned to the shared pool
+	errs := make([]error, len(pending))
+	// A nil custom predictor runs the built-in predictor through a
+	// per-worker Scratch: the simulation arena and QS buffers are recycled
+	// across that worker's pairs and returned to the shared pool
 	// afterwards. Custom predictors manage their own storage.
 	pooled := m.Predict == nil
-	if workers <= 1 {
+	if workers := workersFor(m.Parallelism, len(pending)); workers > 1 {
+		runIndexed(workers, len(pending), pooled, func(pi int, sc *Scratch) {
+			idx := pending[pi]
+			vals[idx], errs[pi] = m.evalSample(sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+		})
+	} else {
 		var sc *Scratch
 		if pooled {
 			sc = scratchPool.Get().(*Scratch)
 		}
-		for idx := 0; idx < total; idx++ {
-			vecs[idx], errs[idx] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-			if errs[idx] != nil {
+		for pi, idx := range pending {
+			vals[idx], errs[pi] = m.evalSample(sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
+			if errs[pi] != nil {
 				break
 			}
 		}
 		if pooled {
 			scratchPool.Put(sc)
 		}
-	} else {
-		// Every pair runs even if one fails — that keeps the winning error
-		// independent of goroutine timing, and failures are cheap (config
-		// validation rejects them before any simulation work).
-		runIndexedScratch(workers, total, pooled, func(idx int, sc *Scratch) {
-			vecs[idx], errs[idx] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-		})
 	}
-	for idx, err := range errs {
+	for pi, err := range errs {
 		if err != nil {
-			if len(cfgs) > 1 {
-				//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-				return nil, fmt.Errorf("whatif: config %d: %w", idx/samples, err)
-			}
-			//tempolint:ignore allocdiscipline cold error exit, runs at most once per batch
-			return nil, fmt.Errorf("whatif: %w", err)
+			return configErr(err, pending[pi]/samples, len(cfgs))
 		}
 	}
-	return vecs, nil
+	return nil
+}
+
+// configErr attributes a scoring failure to config c. Single-config calls
+// (Evaluate, Sensitivity) omit the index, which would carry no
+// information.
+func configErr(err error, c, ncfgs int) error {
+	if ncfgs > 1 {
+		return fmt.Errorf("whatif: config %d: %w", c, err)
+	}
+	return fmt.Errorf("whatif: %w", err)
+}
+
+// averageSamples reduces config c's per-sample rows in sample order. Every
+// scoring entry point averages through it, so a configuration scored by
+// EvaluateBatch and by EvaluateSearch averages to the identical bits.
+func averageSamples(vals [][]float64, c, samples, k int) []float64 {
+	acc := make([]float64, k)
+	for s := 0; s < samples; s++ {
+		v := vals[c*samples+s]
+		for i := range acc {
+			acc[i] += v[i]
+		}
+	}
+	for i := range acc {
+		acc[i] /= float64(samples)
+	}
+	return acc
 }
 
 // workersFor clamps the model's parallelism to the item count; values
@@ -158,15 +170,11 @@ func workersFor(parallelism, items int) int {
 // configurations change queueing behaviour; workload draws vary in size),
 // so static striping would leave workers idle. Callers record results and
 // errors by index, which keeps their aggregation order deterministic.
-func runIndexed(workers, n int, fn func(i int)) {
-	runIndexedScratch(workers, n, false, func(i int, _ *Scratch) { fn(i) })
-}
-
-// runIndexedScratch is runIndexed with an optional per-worker Scratch:
-// each worker draws one from the shared pool for its whole lifetime and
-// returns it when the fan-out drains, so scratch state is reused across
-// all of a worker's items without cross-worker sharing.
-func runIndexedScratch(workers, n int, pooled bool, fn func(i int, sc *Scratch)) {
+// With pooled set, each worker draws a Scratch from the shared pool for
+// its whole lifetime and returns it when the fan-out drains, so scratch
+// state is reused across all of a worker's items without cross-worker
+// sharing; otherwise fn receives a nil Scratch.
+func runIndexed(workers, n int, pooled bool, fn func(i int, sc *Scratch)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -190,14 +198,18 @@ func runIndexedScratch(workers, n int, pooled bool, fn func(i int, sc *Scratch))
 	wg.Wait()
 }
 
-// genSamples draws the batch's sample traces, one per sample index. The
-// traces are shared read-only by every candidate and retained together for
-// the batch's lifetime — fine for the control loop's small sample counts;
-// a Sensitivity sweep over S draws holds S traces at once. Samples are
-// independent, so with workers > 1 they are drawn concurrently; storage is
-// by index and the winning error is the lowest sample's, so the result is
-// identical to sequential generation.
-func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
+// genSamples draws the call's sample traces, one per sample index. The
+// S sample traces are generated exactly once, up front, and shared
+// (read-only) by every candidate: each candidate scores the same sample
+// trace by construction, so regenerating it per (cfg, sample) pair would
+// be pure waste. They are retained together for the call's lifetime —
+// fine for the control loop's small sample counts; a Sensitivity sweep
+// over S draws holds S traces at once. Samples are independent, so with
+// Parallelism > 1 they are drawn concurrently; storage is by index and
+// the winning error is the lowest sample's, so the result is identical to
+// sequential generation. A generation failure hits every candidate at
+// that sample, so it is attributed to config 0 of the ncfgs being scored.
+func (m *Model) genSamples(samples, ncfgs int) ([]*workload.Trace, error) {
 	traces := make([]*workload.Trace, samples)
 	errs := make([]error, samples)
 	genOne := func(s int) {
@@ -211,19 +223,18 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 			traces[s] = trace
 		}
 	}
-	if workers <= 1 {
+	if workers := workersFor(m.Parallelism, samples); workers > 1 {
+		runIndexed(workers, samples, false, func(s int, _ *Scratch) { genOne(s) })
+	} else {
 		for s := 0; s < samples; s++ {
-			genOne(s)
-			if errs[s] != nil {
-				return nil, errs[s]
+			if genOne(s); errs[s] != nil {
+				break
 			}
 		}
-		return traces, nil
 	}
-	runIndexed(workers, samples, genOne)
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, configErr(err, 0, ncfgs)
 		}
 	}
 	return traces, nil
@@ -234,9 +245,9 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // event stream is built once and shared by every template
 // (qs.EvalStream), instead of one record scan per template.
 //
-// With a non-nil scratch (built-in predictor only) the prediction runs in
-// the scratch's simulation arena and the QS derivation reuses its
-// buffers: the predicted schedule borrows arena storage, is read only
+// With a non-nil scratch (built-in predictor only; a nil scratch means
+// m.Predict is set) the prediction runs in the scratch's simulation arena
+// and the QS derivation reuses its buffers: the predicted schedule borrows arena storage, is read only
 // here, and is recycled by the worker's next pair. Nothing is cached per
 // schedule: deriving the QS vector is a small fraction of a prediction,
 // far less than fingerprinting the schedule to look it up would cost.
@@ -244,13 +255,13 @@ func (m *Model) genSamples(samples, workers int) ([]*workload.Trace, error) {
 // which skips the prediction too.
 //
 //tempo:hot
-func (m *Model) evalSample(predict Predictor, sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
+func (m *Model) evalSample(sc *Scratch, trace *workload.Trace, cfg cluster.Config, sample int) ([]float64, error) {
 	var sched *cluster.Schedule
 	var err error
 	if sc != nil {
 		sched, err = sc.sim.RunInto(trace, cfg, cluster.Options{Horizon: m.Horizon})
 	} else {
-		sched, err = predict(trace, cfg, m.Horizon)
+		sched, err = m.Predict(trace, cfg, m.Horizon)
 	}
 	if err != nil {
 		//tempolint:ignore allocdiscipline cold error exit, never on the scored pair path

@@ -135,40 +135,87 @@ func TestEvaluateBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchDeterministicError pins the error-aggregation contract:
-// whichever worker hits an error first, the reported failure is always the
-// lowest (config, sample) pair — the one sequential evaluation would see.
+// TestEvaluateBatchDeterministicError pins the error-aggregation contract
+// of the shared pair runner: whichever worker hits an error first, the
+// reported failure is always the lowest (config, sample) pair — the one
+// sequential evaluation would see — and EvaluateBatch and EvaluateSearch
+// report it with the identical message at every parallelism.
 func TestEvaluateBatchDeterministicError(t *testing.T) {
 	boom := errors.New("boom")
-	m, err := New(testTemplates(), func(sample int) (*workload.Trace, error) {
-		if sample >= 1 {
-			return nil, fmt.Errorf("sample %d: %w", sample, boom)
-		}
+	traces := make([]*workload.Trace, 4)
+	for s := range traces {
 		tr, err := workload.Generate(
 			[]workload.TenantProfile{workload.BestEffort("A", 1)},
-			workload.GenerateOptions{Horizon: 30 * time.Minute, Seed: 1})
-		return tr, err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Samples = 4
-	cfgs := batchConfigs(20)
-	m.Parallelism = 1
-	_, errSeq := m.EvaluateBatch(cfgs)
-	var errPar error
-	for trial := 0; trial < 10; trial++ {
-		m.Parallelism = 8
-		_, errPar = m.EvaluateBatch(cfgs)
-		if errSeq == nil || errPar == nil {
-			t.Fatalf("expected errors, got %v / %v", errSeq, errPar)
+			workload.GenerateOptions{Horizon: 30 * time.Minute, Seed: int64(s + 1)})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if errSeq.Error() != errPar.Error() {
-			t.Fatalf("nondeterministic error: %q vs %q", errSeq, errPar)
-		}
+		traces[s] = tr
 	}
-	if !errors.Is(errPar, boom) {
-		t.Fatalf("cause lost: %v", errPar)
+	sampleOf := func(tr *workload.Trace) int {
+		for s, x := range traces {
+			if x == tr {
+				return s
+			}
+		}
+		return -1
+	}
+	cases := []struct {
+		name    string
+		gen     Generator
+		predict Predictor
+		want    string
+	}{
+		{
+			name: "generator fails at sample 2",
+			gen: func(s int) (*workload.Trace, error) {
+				if s >= 2 {
+					return nil, fmt.Errorf("sample %d: %w", s, boom)
+				}
+				return traces[s], nil
+			},
+			want: "whatif: config 0: generating sample 2: sample 2: boom",
+		},
+		{
+			// Config 2 fails from sample 1 on and config 3 on every sample:
+			// the lowest failing pair is (2, 1), ahead of (3, 0).
+			name: "predictor fails on config 2",
+			gen:  func(s int) (*workload.Trace, error) { return traces[s], nil },
+			predict: func(tr *workload.Trace, cfg cluster.Config, h time.Duration) (*cluster.Schedule, error) {
+				w, s := cfg.Tenants["A"].Weight, sampleOf(tr)
+				if (w == 2 && s >= 1) || w == 4 {
+					return nil, boom
+				}
+				return DefaultPredictor(tr, cfg, h)
+			},
+			want: "whatif: config 2: predicting sample 1: boom",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(testTemplates(), tc.gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Samples = len(traces)
+			m.Predict = tc.predict
+			cfgs := batchConfigs(20)
+			for _, par := range []int{1, 8} {
+				m.Parallelism = par
+				for trial := 0; trial < 5; trial++ {
+					_, errBatch := m.EvaluateBatch(cfgs)
+					_, _, _, errSearch := m.EvaluateSearch(cfgs, nil)
+					for _, err := range []error{errBatch, errSearch} {
+						if err == nil || err.Error() != tc.want {
+							t.Fatalf("parallelism %d: error %v, want %q", par, err, tc.want)
+						}
+						if !errors.Is(err, boom) {
+							t.Fatalf("parallelism %d: cause lost: %v", par, err)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -162,6 +161,12 @@ func (st *searchState) boundsFor(sample int, templates []qs.Template, horizon ti
 // reused[i] counts config-tier hits (no simulation at all). A warm-
 // started candidate has fresh[i] == 0 with a non-nil preds[i].
 //
+// A model with a non-nil Predict is opaque to the search: every pair is
+// simulated on every call (fresh[i] == samples, reused[i] == 0) and keep
+// is never invoked. Setting Predict to DefaultPredictor therefore makes
+// this method exhaustive scoring, the reference the incremental search
+// is checked against.
+//
 // The model's search state is only touched by this method. Calls on the
 // same Model must not be concurrent (the control loop serializes
 // decisions); EvaluateBatch remains stateless and safe alongside.
@@ -172,19 +177,13 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 	if len(cfgs) == 0 {
 		return preds, fresh, reused, nil
 	}
-	samples := m.Samples
-	if samples < 1 {
-		samples = 1
-	}
-	traces, err := m.genSamples(samples, workersFor(m.Parallelism, samples))
+	samples := m.sampleCount()
+	traces, err := m.genSamples(samples, len(cfgs))
 	if err != nil {
-		if len(cfgs) > 1 {
-			return nil, nil, nil, fmt.Errorf("whatif: config 0: %w", err)
-		}
-		return nil, nil, nil, fmt.Errorf("whatif: %w", err)
+		return nil, nil, nil, err
 	}
 	if m.search == nil {
-		m.search = newSearchState()
+		m.search = &searchState{}
 	}
 	st := m.search
 	st.reconcile(len(m.Templates), m.Horizon, traces)
@@ -221,7 +220,7 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 				pending = append(pending, idx)
 			}
 		}
-		if err := m.runSearchPairs(traces, cfgs, samples, pending, vals); err != nil {
+		if err := m.runPairs(traces, cfgs, samples, pending, vals); err != nil {
 			return err
 		}
 		for _, idx := range pending {
@@ -272,73 +271,4 @@ func (m *Model) EvaluateSearch(cfgs []cluster.Config, keep func(i int, lower, ba
 		preds[i] = averageSamples(vals, i, samples, len(m.Templates))
 	}
 	return preds, fresh, reused, nil
-}
-
-func newSearchState() *searchState { return &searchState{} }
-
-// runSearchPairs fans the pending flat (config*samples + sample) indexes
-// out over the worker pool, writing each pair's QS vector into vals.
-// Error aggregation matches evalPairs: every pair runs even if one
-// fails, and the winning error is the lowest pending position's, so the
-// result is independent of worker timing.
-func (m *Model) runSearchPairs(traces []*workload.Trace, cfgs []cluster.Config, samples int, pending []int, vals [][]float64) error {
-	if len(pending) == 0 {
-		return nil
-	}
-	predict := m.Predict
-	if predict == nil {
-		predict = DefaultPredictor
-	}
-	errs := make([]error, len(pending))
-	pooled := m.Predict == nil
-	workers := m.Parallelism
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		var sc *Scratch
-		if pooled {
-			sc = scratchPool.Get().(*Scratch)
-		}
-		for pi, idx := range pending {
-			vals[idx], errs[pi] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-			if errs[pi] != nil {
-				break
-			}
-		}
-		if pooled {
-			scratchPool.Put(sc)
-		}
-	} else {
-		runIndexedScratch(workers, len(pending), pooled, func(pi int, sc *Scratch) {
-			idx := pending[pi]
-			vals[idx], errs[pi] = m.evalSample(predict, sc, traces[idx%samples], cfgs[idx/samples], idx%samples)
-		})
-	}
-	for pi, err := range errs {
-		if err != nil {
-			if len(cfgs) > 1 {
-				return fmt.Errorf("whatif: config %d: %w", pending[pi]/samples, err)
-			}
-			return fmt.Errorf("whatif: %w", err)
-		}
-	}
-	return nil
-}
-
-// averageSamples reduces config c's per-sample rows exactly like
-// EvaluateBatch does — same summation order, so a config resolved
-// through EvaluateSearch averages to the identical bits.
-func averageSamples(vals [][]float64, c, samples, k int) []float64 {
-	acc := make([]float64, k)
-	for s := 0; s < samples; s++ {
-		v := vals[c*samples+s]
-		for i := range acc {
-			acc[i] += v[i]
-		}
-	}
-	for i := range acc {
-		acc[i] /= float64(samples)
-	}
-	return acc
 }

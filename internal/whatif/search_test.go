@@ -205,3 +205,41 @@ func TestEvaluateSearchPruning(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluateSearchOpaquePredictorIsExhaustive: a model with a non-nil
+// Predict is never cached or pruned, so every warm call still simulates
+// every (config, sample) pair and never consults keep. The controller's
+// exhaustive reference (Predict = DefaultPredictor) rests on this.
+func TestEvaluateSearchOpaquePredictorIsExhaustive(t *testing.T) {
+	m, err := FromTrace(testTemplates(), testTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Horizon = time.Hour // finite, so only the predictor rules pruning out
+	m.Samples = 2
+	cfgs := searchConfigs()
+	want, err := m.EvaluateBatch(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Predict = DefaultPredictor
+	keep := func(int, []float64, []float64) bool {
+		t.Fatal("keep consulted for an opaque predictor")
+		return false
+	}
+	for call := 0; call < 2; call++ {
+		preds, fresh, reused, err := m.EvaluateSearch(cfgs, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(preds, want) {
+			t.Fatalf("call %d: preds %v != batch preds %v", call, preds, want)
+		}
+		for i := range cfgs {
+			if fresh[i] != m.Samples || reused[i] != 0 {
+				t.Fatalf("call %d: config %d fresh=%d reused=%d, want %d fresh and no reuse",
+					call, i, fresh[i], reused[i], m.Samples)
+			}
+		}
+	}
+}

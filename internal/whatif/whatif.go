@@ -52,9 +52,9 @@ type Model struct {
 	Horizon time.Duration
 	// Predict produces the task schedule; nil uses DefaultPredictor.
 	Predict Predictor
-	// Parallelism caps the worker goroutines Evaluate, EvaluateBatch, and
-	// Sensitivity fan out over (configuration, sample) pairs — the paper's
-	// §7 observation that what-if evaluations are embarrassingly parallel.
+	// Parallelism caps the worker goroutines every evaluation method fans
+	// out over (configuration, sample) pairs — the paper's §7 observation
+	// that what-if evaluations are embarrassingly parallel.
 	// Values below 2 evaluate sequentially on the calling goroutine. The
 	// QS vectors are bit-identical for every setting; only wall-clock time
 	// changes. When Parallelism > 1, Gen and Predict must be safe for
@@ -140,7 +140,7 @@ func (m *Model) Sensitivity(cfg cluster.Config, n int) (mean, stddev []float64, 
 	if n < 2 {
 		return nil, nil, errors.New("whatif: sensitivity needs n >= 2 samples")
 	}
-	vecs, err := m.evalPairs([]cluster.Config{cfg}, n)
+	vecs, err := m.scoreAll([]cluster.Config{cfg}, n)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,7 +58,7 @@ type (
 	SessionSnapshot = scenario.Snapshot
 	// SearchStats instruments one tick's candidate search (scored /
 	// warm-started / pruned candidates, simulation counts, decision
-	// latency). The serving layer aggregates them onto /metrics.
+	// latency). The serving layer aggregates them onto /v1/metrics.
 	SearchStats = core.SearchStats
 )
 

@@ -195,12 +195,6 @@ type (
 	// evaluations out over a worker pool; results are bit-identical to
 	// sequential evaluation.
 	WhatIfModel = whatif.Model
-	// Evaluator is the minimal what-if interface a Controller accepts, for
-	// plugging in custom models.
-	Evaluator = core.Model
-	// BatchEvaluator is the batch-aware extension of Evaluator; models that
-	// implement it score each iteration's candidate set in one call.
-	BatchEvaluator = core.BatchModel
 )
 
 // DefaultParallelism returns the what-if worker count that saturates the
